@@ -24,6 +24,14 @@ Secondary channels (cotunneling, Cooper pairs) are recomputed every
 iteration from the exact potentials, exactly as the paper prescribes
 ("a non-adaptive solver is used to calculate the tunnel rate
 information specific to these effects").
+
+The per-event state is flat and read as plain Python floats: the
+testing factors ``b0`` and the per-junction flag limits are lists, and
+so are the free-energy and rate caches whenever the pair tree draws the
+events.  A full refresh converts them once; the vectorised paths gather
+from and scatter to them.  With secondary channels the event draw is
+the shared numpy selection, so the free-energy and rate caches stay
+arrays there.
 """
 
 from __future__ import annotations
@@ -67,16 +75,28 @@ class AdaptiveSolver(BaseSolver):
         self._neighbor_arrays = [
             np.asarray(nbrs, dtype=np.intp) for nbrs in self._neighbors
         ]
+        # walk seeds of a sequential event: the junction and its
+        # neighbours (Fig. 4)
+        self._seed_lists = [
+            [j, *nbrs] for j, nbrs in enumerate(self._neighbors)
+        ]
         self._zero_ext = np.zeros(circuit.n_external)
         # plain-Python endpoint views for the scalar hot path (numpy
-        # element access is several times slower than list access)
-        self._a_isl_list = junction_table.a_is_island.tolist()
-        self._a_idx_list = junction_table.a_index.tolist()
-        self._b_isl_list = junction_table.b_is_island.tolist()
-        self._b_idx_list = junction_table.b_index.tolist()
-        self._resistance_list = junction_table.resistance.tolist()
+        # element access is several times slower than list access):
+        # an island endpoint is its island index, a lead ``~index``
+        self._a_node = np.where(
+            junction_table.a_is_island, junction_table.a_index,
+            ~junction_table.a_index,
+        ).tolist()
+        self._b_node = np.where(
+            junction_table.b_is_island, junction_table.b_index,
+            ~junction_table.b_index,
+        ).tolist()
         self._charging_list = (
             0.5 * E_CHARGE * E_CHARGE * junction_table.charging
+        ).tolist()
+        self._denominator_list = (
+            E_CHARGE * E_CHARGE * junction_table.resistance
         ).tolist()
         # O(log J) sampling tree, usable when the only channels are the
         # sequential pairs (secondary channels are recomputed globally
@@ -92,42 +112,69 @@ class AdaptiveSolver(BaseSolver):
             if model.temperature > 0.0
             else float("inf")
         )
+        self._lambda = config.adaptive_threshold
         self._a_is_island = junction_table.a_is_island
         self._a_index = junction_table.a_index
         self._b_is_island = junction_table.b_is_island
         self._b_index = junction_table.b_index
-        self._b0 = np.zeros(self.n_junctions)
         self._events_since_refresh = 0
+        self._walks = 0
+        self._visit_mark = [0] * self.n_junctions
         self._v = np.zeros(circuit.n_islands)
-        self._dw_fw = np.zeros(self.n_junctions)
-        self._dw_bw = np.zeros(self.n_junctions)
-        self._seq_fw = np.zeros(self.n_junctions)
-        self._seq_bw = np.zeros(self.n_junctions)
+        # filled by the first full refresh: ``list[float]`` (or, for the
+        # free-energy and rate caches without the tree, ``np.ndarray``)
+        self._b0: list = []
+        self._flag_limit: list = []
+        self._dw_fw: list | np.ndarray = []
+        self._dw_bw: list | np.ndarray = []
+        self._seq_fw: list | np.ndarray = []
+        self._seq_bw: list | np.ndarray = []
         self._full_refresh()
 
     # ------------------------------------------------------------------
     # cache maintenance
     # ------------------------------------------------------------------
+    def _flag_limits(self, dw_fw: np.ndarray, dw_bw: np.ndarray) -> np.ndarray:
+        """Per-junction scalar-walk flag limits
+        ``lambda/e * min(|dW_fw|, |dW_bw|, cap)`` (vectorised form of the
+        expression in :meth:`_recompute_scalar`)."""
+        return (self._lambda / E_CHARGE) * np.minimum(
+            np.minimum(np.abs(dw_fw), np.abs(dw_bw)), self._energy_cap
+        )
+
     def _full_refresh(self) -> None:
         """Recompute potentials, free energies and all sequential rates."""
         self._v = self.stat.potentials(self.occupation, self.vext)
         self.stats.potential_solves += 1
-        self._dw_fw, self._dw_bw = self.table.free_energy_changes(self._v, self.vext)
-        self._seq_fw, self._seq_bw = self.model.sequential_rates(
-            self._dw_fw, self._dw_bw
-        )
+        dw_fw, dw_bw = self.table.free_energy_changes(self._v, self.vext)
+        seq_fw, seq_bw = self.model.sequential_rates(dw_fw, dw_bw)
         self.stats.sequential_rate_evaluations += 2 * self.n_junctions
         self.stats.full_refreshes += 1
-        self._b0[:] = 0.0
+        self._b0 = [0.0] * self.n_junctions
+        self._flag_limit = self._flag_limits(dw_fw, dw_bw).tolist()
         self._events_since_refresh = 0
         if self._fast:
             if self._tree is None:
-                self._tree = PairRateTree(self._seq_fw, self._seq_bw)
+                self._tree = PairRateTree(seq_fw, seq_bw)
             else:
-                self._tree.rebuild(self._seq_fw, self._seq_bw)
+                self._tree.rebuild(seq_fw, seq_bw)
+            self._dw_fw, self._dw_bw = dw_fw.tolist(), dw_bw.tolist()
+            self._seq_fw, self._seq_bw = seq_fw.tolist(), seq_bw.tolist()
+        else:
+            self._dw_fw, self._dw_bw = dw_fw, dw_bw
+            self._seq_fw, self._seq_bw = seq_fw, seq_bw
 
     def _recompute_junctions(self, indices) -> None:
-        """Recompute free energies and rates for flagged junctions only."""
+        """Recompute free energies and rates for flagged junctions only.
+
+        The split between the scalar and the numpy path is part of the
+        pinned trajectory, not only a speed choice: the scalar path
+        calls ``math.expm1`` and the numpy path ``np.expm1`` (inside
+        :func:`orthodox_rates_both`), and numpy's SIMD ``expm1`` differs
+        from libm's in the last bit for a few per cent of inputs on
+        AVX-512 hosts.  Moving a junction from one path to the other
+        changes the event hash.
+        """
         if (
             not self.model.superconducting
             and isinstance(indices, list)
@@ -152,26 +199,33 @@ class AdaptiveSolver(BaseSolver):
         self_energy = 0.5 * E_CHARGE * E_CHARGE * self.table.charging[idx]
         dw_fw = -E_CHARGE * drop + self_energy
         dw_bw = +E_CHARGE * drop + self_energy
-        self._dw_fw[idx] = dw_fw
-        self._dw_bw[idx] = dw_bw
+        idx_list = idx.tolist()
         if not self.model.superconducting:
             fw, bw = orthodox_rates_both(
                 dw_fw, dw_bw, self.table.resistance[idx], self.model.temperature
             )
-            self._seq_fw[idx] = fw
-            self._seq_bw[idx] = bw
+            fw_list, bw_list = fw.tolist(), bw.tolist()
         else:
-            for pos, j in enumerate(idx):
-                j = int(j)
-                self._seq_fw[j] = self.model.sequential_rate_single(j, dw_fw[pos])
-                self._seq_bw[j] = self.model.sequential_rate_single(j, dw_bw[pos])
-        self._b0[idx] = 0.0
-        if self._tree is not None:
-            fw_arr, bw_arr = self._seq_fw, self._seq_bw
-            update = self._tree.update
-            for j in idx:
-                j = int(j)
-                update(j, fw_arr[j] + bw_arr[j])
+            rate = self.model.sequential_rate_single
+            fw_list, bw_list = [], []
+            for pos, j in enumerate(idx_list):
+                fw_list.append(float(rate(j, dw_fw[pos])))
+                bw_list.append(float(rate(j, dw_bw[pos])))
+        limits = self._flag_limits(dw_fw, dw_bw).tolist()
+        dwf_list, dwb_list = dw_fw.tolist(), dw_bw.tolist()
+        seq_fw, seq_bw = self._seq_fw, self._seq_bw
+        cache_fw, cache_bw = self._dw_fw, self._dw_bw
+        b0, flag_limit = self._b0, self._flag_limit
+        update = self._tree.update if self._tree is not None else None
+        for pos, j in enumerate(idx_list):
+            cache_fw[j] = dwf_list[pos]
+            cache_bw[j] = dwb_list[pos]
+            seq_fw[j] = fw_list[pos]
+            seq_bw[j] = bw_list[pos]
+            b0[j] = 0.0
+            flag_limit[j] = limits[pos]
+            if update is not None:
+                update(j, fw_list[pos] + bw_list[pos])
         self.stats.sequential_rate_evaluations += 2 * idx.size
         self.stats.flagged_recalculations += idx.size
 
@@ -181,25 +235,28 @@ class AdaptiveSolver(BaseSolver):
         overhead in the hot path."""
         kt = K_B * self.model.temperature
         e = E_CHARGE
-        v = self._v
-        vext = self.vext
-        a_isl, a_idx = self._a_isl_list, self._a_idx_list
-        b_isl, b_idx = self._b_isl_list, self._b_idx_list
+        scale = self._lambda / e
+        cap = self._energy_cap
+        v = memoryview(self._v)
+        vext = memoryview(self.vext)
+        a_node, b_node = self._a_node, self._b_node
         charging = self._charging_list
-        resistance = self._resistance_list
+        denominators = self._denominator_list
         fw_arr, bw_arr = self._seq_fw, self._seq_bw
         dwf_arr, dwb_arr = self._dw_fw, self._dw_bw
-        tree = self._tree
-        e2 = e * e
+        b0, flag_limit = self._b0, self._flag_limit
+        update = self._tree.update if self._tree is not None else None
 
         for i in indices:
-            phi_a = v[a_idx[i]] if a_isl[i] else vext[a_idx[i]]
-            phi_b = v[b_idx[i]] if b_isl[i] else vext[b_idx[i]]
+            node = a_node[i]
+            phi_a = v[node] if node >= 0 else vext[~node]
+            node = b_node[i]
+            phi_b = v[node] if node >= 0 else vext[~node]
             drop = phi_b - phi_a
             self_energy = charging[i]
             dwf = -e * drop + self_energy
             dwb = +e * drop + self_energy
-            denominator = e2 * resistance[i]
+            denominator = denominators[i]
             if kt > 0.0:
                 x = dwf / kt
                 if x > 500.0:
@@ -222,9 +279,16 @@ class AdaptiveSolver(BaseSolver):
             dwb_arr[i] = dwb
             fw_arr[i] = fw
             bw_arr[i] = bw
-            self._b0[i] = 0.0
-            if tree is not None:
-                tree.update(i, fw + bw)
+            b0[i] = 0.0
+            limit = dwf if dwf >= 0 else -dwf
+            other = dwb if dwb >= 0 else -dwb
+            if other < limit:
+                limit = other
+            if cap < limit:
+                limit = cap
+            flag_limit[i] = scale * limit
+            if update is not None:
+                update(i, fw + bw)
         self.stats.sequential_rate_evaluations += 2 * len(indices)
         self.stats.flagged_recalculations += len(indices)
 
@@ -259,45 +323,41 @@ class AdaptiveSolver(BaseSolver):
         if len(seeds) > 256:
             self._adaptive_update_vector(dv, dvext, seeds)
             return
-        lam = self.config.adaptive_threshold
-        scale = lam / E_CHARGE
-        cap = self._energy_cap
         b0 = self._b0
-        dw_fw, dw_bw = self._dw_fw, self._dw_bw
-        a_isl, a_idx = self._a_isl_list, self._a_idx_list
-        b_isl, b_idx = self._b_isl_list, self._b_idx_list
+        flag_limit = self._flag_limit
+        a_node, b_node = self._a_node, self._b_node
         neighbors = self._neighbors
-        dv_list = dv  # numpy scalar access; dv is dense and small-ish
-        ext = dvext
-        visited: set[int] = set()
+        # memoryview element reads are plain Python floats
+        dv_view = memoryview(dv)
+        ext = memoryview(dvext) if dvext is not None else None
+        # a junction is visited in this walk once its mark equals the
+        # walk's number (no per-walk set to build)
+        self._walks += 1
+        walk = self._walks
+        mark = self._visit_mark
         flagged: list[int] = []
         queue = list(seeds)
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            if i in visited:
+        # the loop also visits what the flagged junctions append
+        for i in queue:
+            if mark[i] == walk:
                 continue
-            visited.add(i)
-            change = 0.0
-            if b_isl[i]:
-                change += dv_list[b_idx[i]]
+            mark[i] = walk
+            # ``0.0 + x``: the change accumulates from +0.0, which fixes
+            # the sign of a zero result
+            node = b_node[i]
+            if node >= 0:
+                change = 0.0 + dv_view[node]
             elif ext is not None:
-                change += ext[b_idx[i]]
-            if a_isl[i]:
-                change -= dv_list[a_idx[i]]
+                change = 0.0 + ext[~node]
+            else:
+                change = 0.0
+            node = a_node[i]
+            if node >= 0:
+                change -= dv_view[node]
             elif ext is not None:
-                change -= ext[a_idx[i]]
+                change -= ext[~node]
             b = b0[i] + change
-            fw = dw_fw[i]
-            bw = dw_bw[i]
-            limit = fw if fw >= 0 else -fw
-            other = bw if bw >= 0 else -bw
-            if other < limit:
-                limit = other
-            if cap < limit:
-                limit = cap
-            if abs(b) >= scale * limit:
+            if abs(b) >= flag_limit[i]:
                 flagged.append(i)
                 queue.extend(neighbors[i])
             else:
@@ -309,9 +369,12 @@ class AdaptiveSolver(BaseSolver):
         self, dv: np.ndarray, dvext: np.ndarray | None, seeds
     ) -> None:
         """Vectorised variant for wide fronts (source/stimulus changes)."""
-        lam = self.config.adaptive_threshold
+        lam = self._lambda
         if dvext is None:
             dvext = self._zero_ext
+        b0 = np.array(self._b0)
+        abs_fw = np.abs(np.asarray(self._dw_fw, dtype=float))
+        abs_bw = np.abs(np.asarray(self._dw_bw, dtype=float))
         visited = np.zeros(self.n_junctions, dtype=bool)
         flagged_parts: list[np.ndarray] = []
         frontier = np.unique(np.asarray(seeds, dtype=np.intp))
@@ -320,20 +383,17 @@ class AdaptiveSolver(BaseSolver):
             if not frontier.size:
                 break
             visited[frontier] = True
-            b = self._b0[frontier] + self._frontier_potential_change(
+            b = b0[frontier] + self._frontier_potential_change(
                 frontier, dv, dvext
             )
             threshold = lam * np.minimum(
-                np.minimum(
-                    np.abs(self._dw_fw[frontier]),
-                    np.abs(self._dw_bw[frontier]),
-                ),
+                np.minimum(abs_fw[frontier], abs_bw[frontier]),
                 self._energy_cap,
             )
             flag_mask = E_CHARGE * np.abs(b) >= threshold
             flagged = frontier[flag_mask]
             kept = frontier[~flag_mask]
-            self._b0[kept] = b[~flag_mask]
+            b0[kept] = b[~flag_mask]
             if flagged.size:
                 flagged_parts.append(flagged)
                 frontier = np.unique(
@@ -343,6 +403,7 @@ class AdaptiveSolver(BaseSolver):
                 )
             else:
                 break
+        self._b0 = b0.tolist()
         if flagged_parts:
             self._recompute_junctions(np.concatenate(flagged_parts))
 
@@ -400,11 +461,12 @@ class AdaptiveSolver(BaseSolver):
 
     def _event_seeds(self, event: TunnelEvent) -> list[int]:
         """Junctions nearest the tunnel event: the event junction(s)
-        themselves plus their immediate neighbours (Fig. 4)."""
-        if event.path is not None:
-            starts = [event.path.junction_in, event.path.junction_out]
-        else:
-            starts = [event.junction]
+        themselves plus their immediate neighbours (Fig. 4).  A
+        sequential event gets its junction's precomputed list, which
+        callers must not mutate."""
+        if event.path is None:
+            return self._seed_lists[event.junction]
+        starts = [event.path.junction_in, event.path.junction_out]
         seeds = list(starts)
         for j in starts:
             seeds.extend(self._neighbors[j])

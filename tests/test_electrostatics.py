@@ -101,6 +101,38 @@ class TestIncrementalUpdates:
         v1 = stat.potentials(occ, vext)
         assert np.allclose(v0 + dv, v1, atol=1e-18)
 
+    def test_potential_update_bits_match_zeroed_vector_formula(
+        self, double_dot_circuit, monkeypatch
+    ):
+        # columns with signed zeros, subnormals and ordinary values:
+        # every endpoint combination must reproduce the zeroed-vector
+        # formula ``0 - dq*K[:, a] + dq*K[:, b]`` bit for bit
+        stat = Electrostatics(double_dot_circuit)
+        columns = {
+            0: np.array([-0.0, 0.0, 3.5e17, -2.0e17, -0.0, 1e-300]),
+            1: np.array([0.0, -0.0, -0.0, 7.25e16, 5e-324, -1e-300]),
+        }
+        monkeypatch.setattr(stat, "_n", 6)
+        monkeypatch.setattr(stat, "cinv_column", columns.__getitem__)
+        island0, island1 = (
+            double_dot_circuit.resolved_junctions()[1].ref_a,
+            double_dot_circuit.resolved_junctions()[1].ref_b,
+        )
+        lead = double_dot_circuit.resolved_junctions()[0].ref_a
+        assert island0.is_island and island1.is_island and not lead.is_island
+        for dq in (-E_CHARGE, E_CHARGE, -2.0 * E_CHARGE, 0.0, -0.0):
+            for ref_a, ref_b in (
+                (island0, island1), (island1, island0), (island0, lead),
+                (lead, island1), (lead, lead),
+            ):
+                expected = np.zeros(6)
+                if ref_a.is_island:
+                    expected -= dq * columns[ref_a.index]
+                if ref_b.is_island:
+                    expected += dq * columns[ref_b.index]
+                dv = stat.potential_update(ref_a, ref_b, dq)
+                assert dv.tobytes() == expected.tobytes()
+
     def test_source_potential_update_matches_resolve(self, double_dot_circuit):
         stat = Electrostatics(double_dot_circuit)
         vext0 = double_dot_circuit.external_voltages()

@@ -1,4 +1,4 @@
-"""Tests for the Fenwick pair-rate sampling tree."""
+"""Tests for the pair-rate sampling tree (a lazily repaired binary sum tree)."""
 
 import numpy as np
 import pytest

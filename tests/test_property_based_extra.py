@@ -56,6 +56,95 @@ class TestPairTreeProperties:
                                            abs=1e-12)
 
 
+class _EagerTree:
+    """Reference sum tree: every update repairs its whole path at once."""
+
+    def __init__(self, fw, bw):
+        self.n, self.size = len(fw), 1
+        while self.size < self.n:
+            self.size *= 2
+        self.rebuild(fw, bw)
+
+    def rebuild(self, fw, bw):
+        values = np.zeros(self.size)
+        values[: self.n] = fw + bw
+        self.tree = [0.0] * self.size + values.tolist()
+        for i in range(self.size - 1, 0, -1):
+            self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1]
+
+    def update(self, j, pair_rate):
+        i = self.size + j
+        self.tree[i] = pair_rate
+        while i > 1:
+            i //= 2
+            self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1]
+
+    def sample(self, target):
+        i = 1
+        while i < self.size:
+            if target < self.tree[2 * i]:
+                i = 2 * i
+            else:
+                target -= self.tree[2 * i]
+                i = 2 * i + 1
+        j = i - self.size
+        if j >= self.n:
+            j = self.n - 1
+            target = min(target, self.tree[self.size + j])
+        return j, target
+
+
+pair_rates = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-30, max_value=1e-20),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+)
+tree_ops = st.one_of(
+    st.tuples(st.just("update"), st.integers(0, 99), pair_rates),
+    # the same leaf written twice before the next read
+    st.tuples(st.just("update2"), st.integers(0, 99), pair_rates),
+    st.tuples(st.just("total")),
+    st.tuples(st.just("sample"), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("rebuild"), st.integers(0, 2**32 - 1)),
+)
+
+
+class TestLazyPairTreeMatchesEager:
+    """The lazily repaired tree is bit-identical to eager path repair."""
+
+    @given(
+        n=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(tree_ops, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleavings(self, n, seed, ops):
+        rng = np.random.default_rng(seed)
+        fw, bw = rng.random(n) * 1e9, rng.random(n) * 1e3
+        lazy, eager = PairRateTree(fw, bw), _EagerTree(fw, bw)
+        for op in ops:
+            if op[0] in ("update", "update2"):
+                j = op[1] % n
+                writes = [op[2] * 0.5, op[2]] if op[0] == "update2" else [op[2]]
+                for value in writes:
+                    lazy.update(j, value)
+                    eager.update(j, value)
+            elif op[0] == "total":
+                assert lazy.total == eager.tree[1]
+            elif op[0] == "sample":
+                target = op[1] * eager.tree[1]
+                assert lazy.sample(target) == eager.sample(target)
+            else:
+                fresh = np.random.default_rng(op[1])
+                fw, bw = fresh.random(n), fresh.random(n)
+                lazy.rebuild(fw, bw)
+                eager.rebuild(fw, bw)
+        assert lazy.total == eager.tree[1]
+        for fraction in (0.0, 0.25, 0.5, 0.999999, 1.0):
+            target = fraction * eager.tree[1]
+            assert lazy.sample(target) == eager.sample(target)
+
+
 class TestWaveformProperties:
     @given(
         amplitude=st.floats(1e-6, 1.0), frequency=st.floats(1e3, 1e9),

@@ -116,3 +116,43 @@ class TestSolverStateIntegrity:
                 set_circuit, SimulationConfig(),
                 initial_occupation=np.zeros(5),
             )
+
+
+class TestPinnedLogicTrajectory:
+    """Bit-exact trajectory of a mid-size logic circuit.
+
+    c432 (2,072 junctions, sparse backend) under one input step: the
+    run exercises the scalar flag walk and recompute, per-event
+    recomputes of more than 64 flagged junctions (numpy path), two
+    wide-front retargets and the lazily repaired pair tree.  The hash
+    and counters were recorded before the flat-state rewrite of the
+    adaptive solver; any optimisation must keep them.  ``np.expm1`` is
+    SIMD-dispatched, so the pin holds on hosts whose numpy picks the
+    same kernel (as do the golden decks).
+    """
+
+    def test_c432_step_event_hash(self):
+        from repro import logic
+        from repro.core import SolverStats
+
+        mapped = logic.build_benchmark("c432")
+        stimulus = logic.find_step_stimulus(mapped.netlist, 3)
+        config = SimulationConfig(
+            temperature=mapped.params.temperature, solver="adaptive",
+            seed=5, event_hash=True,
+        )
+        engine = MonteCarloEngine(
+            mapped.circuit, config,
+            initial_occupation=mapped.initial_occupation(stimulus.before),
+        )
+        assert not engine.electrostatics.is_dense
+        engine.set_sources(mapped.input_voltages(stimulus.before))
+        engine.run(max_jumps=2000)
+        engine.set_sources(mapped.input_voltages(stimulus.after))
+        engine.run(max_jumps=3000)
+        assert engine.event_hash() == "6239fcf9493312d894e8a5343349047c"
+        assert engine.solver.stats == SolverStats(
+            events=5000, sequential_rate_evaluations=267614,
+            potential_solves=6, full_refreshes=6,
+            flagged_recalculations=121375,
+        )
